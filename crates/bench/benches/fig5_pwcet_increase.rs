@@ -27,7 +27,7 @@ fn main() {
     let cfg = harness_config(0xF165);
     // The PUB-vs-original comparison extrapolates two tails at 1e-12;
     // sizing both baseline campaigns equally keeps the extrapolation
-    // variance from dominating the ratios (see EXPERIMENTS.md).
+    // variance from dominating the ratios.
     let baseline_runs = scaled(20_000);
 
     let fit = |sample: &[u64]| {

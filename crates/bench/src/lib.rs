@@ -6,7 +6,8 @@
 //! sizes derive from the paper's, scaled down 10× by default so the whole
 //! suite regenerates in minutes; set `MBCR_SCALE` to rescale (e.g.
 //! `MBCR_SCALE=10` for paper-sized campaigns, `MBCR_SCALE=0.1` for a smoke
-//! run). `EXPERIMENTS.md` records the paper-vs-measured comparison.
+//! run). The printed rows and the CSVs are the paper-vs-measured record;
+//! no separate document keeps a copy.
 
 use std::fs;
 use std::io::Write as _;

@@ -27,6 +27,26 @@ pub fn parse_url(url: &str) -> Option<(String, String)> {
     Some((addr.to_string(), path.to_string()))
 }
 
+/// A non-`200` answer to [`open_sse`]: the server was reached and
+/// refused the request, so repeating it cannot help. It rides as the
+/// inner error of the returned [`io::Error`]; callers that retry
+/// transient failures tell it apart with `downcast_ref`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StatusError {
+    /// The response status code.
+    pub status: u16,
+    /// The server's reason ([`Response::error_text`]).
+    pub reason: String,
+}
+
+impl std::fmt::Display for StatusError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "HTTP {}: {}", self.status, self.reason)
+    }
+}
+
+impl std::error::Error for StatusError {}
+
 /// One HTTP response, body fully read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -157,7 +177,7 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&Json>) -> io:
 /// # Errors
 ///
 /// Connect failures, malformed response heads, and non-200 statuses
-/// (as [`io::ErrorKind::Other`] carrying the status and error body).
+/// (as [`io::ErrorKind::Other`] wrapping a [`StatusError`]).
 pub fn open_sse(addr: &str, path: &str) -> io::Result<SseReader<BufReader<TcpStream>>> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -177,10 +197,10 @@ pub fn open_sse(addr: &str, path: &str) -> io::Result<SseReader<BufReader<TcpStr
                 reader.read_to_end(&mut body)?;
             }
         }
-        return Err(io::Error::other(format!(
-            "HTTP {status}: {}",
-            Response { status, body }.error_text()
-        )));
+        return Err(io::Error::other(StatusError {
+            status,
+            reason: Response { status, body }.error_text(),
+        }));
     }
     Ok(SseReader::new(reader))
 }
@@ -240,6 +260,26 @@ mod tests {
             body: b"boom".to_vec(),
         };
         assert_eq!(raw.error_text(), "boom");
+    }
+
+    #[test]
+    fn refused_sse_requests_carry_their_status_and_reason() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = crate::read_request(&mut BufReader::new(stream.try_clone().unwrap()));
+            crate::respond_error(&mut stream, 404, "unknown sweep 'nosuch'").unwrap();
+        });
+        let err = open_sse(&addr, "/v1/sweeps/nosuch/events").expect_err("refused");
+        server.join().unwrap();
+        let refused = err
+            .get_ref()
+            .and_then(|inner| inner.downcast_ref::<StatusError>())
+            .expect("a StatusError");
+        assert_eq!(refused.status, 404);
+        assert_eq!(refused.reason, "unknown sweep 'nosuch'");
+        assert_eq!(err.to_string(), "HTTP 404: unknown sweep 'nosuch'");
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod client;
 mod http;
 mod sse;
 
-pub use client::{open_sse, parse_url, request, Response};
+pub use client::{open_sse, parse_url, request, Response, StatusError};
 pub use http::{
     read_request, respond_empty, respond_error, respond_json, respond_text, status_reason, Request,
     MAX_BODY, MAX_HEADERS, MAX_HEADER_LINE, MAX_REQUEST_LINE,

@@ -7,13 +7,12 @@
 //! mbcr sweep --benchmarks bs,cnt --geometries 4096:2:32,2048:2:32 --seeds 1,2
 //! mbcr sweep --spec campaign.json --out mbcr-runs/campaign
 //! mbcr sweep --benchmarks bs --shards 4          # self-hosted sharding
-//! mbcr serve --listen 127.0.0.1:4870 --out mbcr-runs/service   # daemon
-//! mbcr submit --connect 127.0.0.1:4870 --spec campaign.json
-//! mbcr status --connect 127.0.0.1:4870
-//! mbcr cancel --connect 127.0.0.1:4870 --sweep s001-campaign
-//! mbcr report --connect 127.0.0.1:4870 --follow --sweep s001-campaign
-//! mbcr coord --spec campaign.json --listen 127.0.0.1:4870   # one-shot
+//! mbcr serve --listen 127.0.0.1:4870 --http 127.0.0.1:4871   # daemon
 //! mbcr worker --connect 127.0.0.1:4870 --jobs 4  # on any host
+//! mbcr submit --connect http://127.0.0.1:4871 --spec campaign.json
+//! mbcr status --connect 127.0.0.1:4871
+//! mbcr cancel --connect 127.0.0.1:4871 --sweep s001-campaign
+//! mbcr report --connect 127.0.0.1:4871 --follow --sweep s001-campaign
 //! mbcr report --out mbcr-runs/campaign
 //! ```
 //!
@@ -21,7 +20,7 @@
 //! no `clap`.
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
@@ -29,7 +28,7 @@ use mbcr::{analyze_pub_tac, render_report, AnalysisConfig};
 use mbcr_engine::{
     aggregate_rows, render_rows, run_sweep, AnalysisKind, ArtifactStore, EngineError, GeometrySpec,
     InputSelection, JobSummary, Registry, RunOptions, SweepOutcome, SweepSnapshot, SweepSpec,
-    SweepState,
+    SweepState, SweepStatus,
 };
 use mbcr_ir::{
     classify, group_inputs_by_path, validate_classification, Diagnostic, Inputs, PathSpace,
@@ -38,9 +37,7 @@ use mbcr_json::{Json, Serialize};
 use mbcr_malardalen::Benchmark;
 use mbcr_pub::PubConfig;
 use mbcr_shard::{
-    lint_program,
-    protocol::{self, Message},
-    run_worker, serve, serve_daemon_with, CoordSettings, GatewayOptions,
+    lint_program, protocol, run_worker, serve, serve_daemon, CoordSettings, GatewayOptions,
 };
 
 const USAGE: &str = "mbcr — batch PUB + TAC + MBPTA analysis engine (DAC'18 reproduction)
@@ -65,15 +62,14 @@ COMMANDS:
     trace               Run a sweep with span tracing on and export the
                         merged timeline as Chrome-trace-event JSON
                         (chrome://tracing / Perfetto loadable)
-    serve               Run the multi-sweep service daemon (accepts
-                        submissions from clients, schedules them across one
-                        worker fleet, resumes its queue after a kill)
+    serve               Run the multi-sweep service daemon (takes client
+                        submissions over its HTTP gateway, schedules them
+                        across one worker fleet, resumes its queue after a
+                        kill)
     submit              Queue a sweep on a running service daemon
     status              Show a daemon's sweep queue
     cancel              Cancel a queued/running sweep on a daemon
-    coord               One-shot: serve a single campaign's stage jobs to
-                        TCP workers, then exit (thin wrapper over serve)
-    worker              Execute stage jobs for a coordinator or daemon
+    worker              Execute stage jobs for a daemon (or sweep --shards)
     report              Re-render the Table 2 summary of an existing run,
                         or follow a daemon's live progress (--follow)
     loadgen             Load-storm bench: spawn a daemon, submit a storm of
@@ -134,7 +130,7 @@ SWEEP OPTIONS:
                         measurement campaigns (default: 16; 1 restores the
                         one-layout-at-a-time loop). Pure throughput knob:
                         samples and artifacts are byte-identical at every
-                        width. Also accepted by coord.
+                        width.
     --shards N          Shard across N self-hosted local worker processes
                         (spawns a coordinator plus N `mbcr worker`s);
                         results are byte-identical to a plain sweep
@@ -152,8 +148,12 @@ TRACE OPTIONS (all SWEEP spec options, plus):
                         'events': raw span-event dump (mbcr-obs/1)
 
 SERVE OPTIONS:
-    --listen ADDR       TCP address to bind (e.g. 127.0.0.1:4870; port 0
-                        picks one and prints it)
+    --listen ADDR       TCP address workers connect to (e.g.
+                        127.0.0.1:4870; port 0 picks one and prints it)
+    --http ADDR         Required: the HTTP/JSON + SSE gateway, the client
+                        plane of submit/status/cancel/report (POST/GET/
+                        DELETE /v1/sweeps, /v1/sweeps/ID/events,
+                        /v1/metrics; port 0 picks one and prints it)
     --out DIR           The service's artifact store (default:
                         mbcr-runs/service). Holds the shared content-
                         addressed jobs/ and stages/, the durable sweep
@@ -161,15 +161,13 @@ SERVE OPTIONS:
     --lease-ttl SECS    Declare a silent worker dead and requeue its jobs
                         after SECS (default: 30; connection loss requeues
                         immediately)
-    --http ADDR         Also serve the HTTP/JSON + SSE gateway on ADDR
-                        (POST/GET/DELETE /v1/sweeps, /v1/sweeps/ID/events,
-                        /v1/metrics; port 0 picks one and prints it)
     --spawn-workers MIN..MAX  Autoscale local worker processes between MIN
                         and MAX from queue depth (SIGTERM-drained back to
                         MIN when the queue empties)
 
 SUBMIT OPTIONS (all SWEEP spec options, plus):
-    --connect ADDR      The daemon to submit to
+    --connect ADDR      The daemon's gateway (serve --http), written
+                        http://host:port or host:port
     --force             Re-execute jobs even when cached artifacts exist
     --checkpoint-interval N  As for sweep, scoped to this submission
     --priority N        Fair-share weight (default 1): a priority-3 sweep
@@ -177,20 +175,14 @@ SUBMIT OPTIONS (all SWEEP spec options, plus):
     --max-concurrent N  Cap this sweep's concurrently leased jobs
 
 STATUS / CANCEL OPTIONS:
-    --connect ADDR      The daemon to query
+    --connect ADDR      The daemon's gateway, as for submit
     --sweep ID          Restrict to (status) or target (cancel) one sweep.
                         status exits nonzero when the targeted sweep was
                         canceled or has failed jobs
 
-COORD OPTIONS (all SWEEP options except --threads/--shards, plus):
-    --listen ADDR       TCP address to bind (e.g. 127.0.0.1:4870; port 0
-                        picks one and prints it)
-    --lease-ttl SECS    Declare a silent worker dead and requeue its jobs
-                        after SECS (default: 30; connection loss requeues
-                        immediately)
-
 WORKER OPTIONS:
-    --connect ADDR      Coordinator address (retries while it comes up).
+    --connect ADDR      The daemon's worker address (serve --listen;
+                        retries while it comes up).
                         SIGTERM drains gracefully: the in-flight campaign
                         chunk is checkpointed and flushed, leases handed
                         back, and the worker exits cleanly
@@ -201,13 +193,14 @@ REPORT OPTIONS:
                         per-campaign progress even without a manifest
     --sweep ID          With --out: summarize one sweeps/<id>/ scope of a
                         service store. With --connect: pick the sweep
-    --connect ADDR      Ask a running daemon instead of reading a store.
-                        ADDR may be a binary-protocol host:port or an
-                        http://host:port gateway (SSE). Exits nonzero when
-                        a reported sweep was canceled or has failed jobs
+    --connect ADDR      Ask a running daemon's gateway (as for submit)
+                        instead of reading a store. Exits nonzero when a
+                        reported sweep was canceled or has failed jobs
     --follow            With --connect: stream live per-stage/per-campaign
-                        progress until the sweep(s) complete, reconnecting
-                        with capped backoff across transient stream loss
+                        progress over SSE until the sweep (or, without
+                        --sweep, every listed sweep) completes. Lost
+                        connections reconnect with capped backoff; a
+                        refused request (unknown sweep) exits 1 at once
 
 LOADGEN OPTIONS:
     --sweeps N          Overlapping sweeps to submit over HTTP (default 6)
@@ -246,7 +239,6 @@ fn dispatch(args: &[String]) -> Result<ExitCode, EngineError> {
         Some("submit") => submit(&args[1..]),
         Some("status") => status(&args[1..]),
         Some("cancel") => cancel(&args[1..]),
-        Some("coord") => coord(&args[1..]),
         Some("worker") => worker(&args[1..]),
         Some("report") => report(&args[1..]),
         Some("loadgen") => loadgen(&args[1..]),
@@ -1069,63 +1061,10 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     })
 }
 
-fn coord(args: &[String]) -> Result<ExitCode, EngineError> {
-    let mut flags = Flags::new(args);
-    let spec = spec_from_flags(&mut flags)?;
-    let out = flags
-        .value("--out")?
-        .map_or_else(|| format!("mbcr-runs/{}", spec.name), str::to_string);
-    let listen = flags
-        .value("--listen")?
-        .ok_or_else(|| EngineError::Spec("coord needs --listen ADDR".into()))?
-        .to_string();
-    let checkpoint_interval = match flags.value("--checkpoint-interval")? {
-        Some(text) => Some(parse_u64("--checkpoint-interval", text)? as usize),
-        None => None,
-    };
-    let batch_width = match flags.value("--batch-width")? {
-        Some(text) => Some(parse_u64("--batch-width", text)? as usize),
-        None => None,
-    };
-    let lease_ttl = match flags.value("--lease-ttl")? {
-        Some(text) => Duration::from_secs(parse_u64("--lease-ttl", text)?),
-        None => CoordSettings::default().lease_ttl,
-    };
-    let force = flags.switch("--force");
-    flags.reject_unknown()?;
-    if let Some(extra) = flags.positionals().first() {
-        return Err(EngineError::Spec(format!("unexpected argument '{extra}'")));
-    }
-
-    // Long-lived process: metrics live by default (MBCR_OBS=0 opts out).
-    mbcr_obs::enable_for_service();
-    let store = ArtifactStore::open(&out)?;
-    let registry = Registry::malardalen();
-    let listener = TcpListener::bind(&listen)?;
-    // Parseable by scripts (and by port-0 users who need the real port).
-    println!("coordinator listening on {}", listener.local_addr()?);
-    let settings = CoordSettings {
-        run: RunOptions {
-            threads: 0,
-            force,
-            checkpoint_interval,
-            batch_width,
-            prescreen: false,
-        },
-        lease_ttl,
-    };
-    let outcome = serve(&spec, &registry, &store, &settings, &listener)?;
-    print_outcome(&outcome, &store);
-    Ok(if outcome.failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
 /// `mbcr serve`: the long-lived multi-sweep daemon. Resumes any queue
-/// persisted in the store, then accepts worker and client connections
-/// until killed.
+/// persisted in the store, then serves workers on `--listen` and clients
+/// on the `--http` gateway until killed. Without the gateway a daemon
+/// could take no submissions, so `--http` is required.
 fn serve_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
     let listen = flags
@@ -1140,7 +1079,12 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
         Some(text) => Duration::from_secs(parse_u64("--lease-ttl", text)?),
         None => CoordSettings::default().lease_ttl,
     };
-    let http = flags.value("--http")?.map(str::to_string);
+    let http = flags
+        .value("--http")?
+        .ok_or_else(|| {
+            EngineError::Spec("serve needs --http ADDR (the gateway clients submit to)".into())
+        })?
+        .to_string();
     let spawn_workers = match flags.value("--spawn-workers")? {
         Some(text) => Some(parse_spawn_workers(text)?),
         None => None,
@@ -1158,14 +1102,8 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
     let listener = TcpListener::bind(&listen)?;
     // Parseable by scripts (and by port-0 users who need the real port).
     println!("service listening on {}", listener.local_addr()?);
-    let http = match http {
-        Some(addr) => {
-            let http = TcpListener::bind(&addr)?;
-            println!("http listening on {}", http.local_addr()?);
-            Some(http)
-        }
-        None => None,
-    };
+    let http = TcpListener::bind(&http)?;
+    println!("http listening on {}", http.local_addr()?);
     let settings = CoordSettings {
         run: RunOptions::default(),
         lease_ttl,
@@ -1174,7 +1112,7 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, EngineError> {
         http,
         spawn_workers,
     };
-    serve_daemon_with(&registry, &store, &settings, &listener, gateway)?;
+    serve_daemon(&registry, &store, &settings, &listener, gateway)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1190,46 +1128,55 @@ fn parse_spawn_workers(text: &str) -> Result<(usize, usize), EngineError> {
     Ok((min, max))
 }
 
-/// Connects to a daemon and completes the protocol handshake.
-fn client_connect(addr: &str) -> Result<TcpStream, EngineError> {
-    let client_error = |message: String| EngineError::Analysis(message);
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| client_error(format!("connecting to {addr}: {e}")))?;
-    stream
-        .set_nodelay(true)
-        .map_err(|e| client_error(e.to_string()))?;
-    protocol::send(
-        &mut stream,
-        &Message::Hello {
-            schema: protocol::wire_schema(),
-        },
-    )
-    .map_err(|e| client_error(format!("handshake with {addr}: {e}")))?;
-    match protocol::receive(&mut stream).map_err(|e| client_error(e.to_string()))? {
-        Some(Message::Welcome { schema }) if schema == protocol::wire_schema() => Ok(stream),
-        Some(Message::Welcome { schema }) => Err(client_error(format!(
-            "service speaks '{schema}', this client '{}'",
-            protocol::wire_schema()
-        ))),
-        Some(Message::Reject { reason }) => Err(client_error(format!(
-            "service refused the handshake: {reason}"
-        ))),
-        Some(other) => Err(client_error(format!(
-            "expected welcome, got {}",
-            other.to_json().to_compact()
-        ))),
-        None => Err(client_error(
-            "service closed the connection during the handshake".to_string(),
-        )),
-    }
+/// The gateway address a client's `--connect` names, written
+/// `http://host:port` or as a bare `host:port`.
+fn gateway_flag(flags: &mut Flags<'_>, command: &str) -> Result<String, EngineError> {
+    let connect = flags
+        .value("--connect")?
+        .ok_or_else(|| EngineError::Spec(format!("{command} needs --connect ADDR")))?;
+    gateway_addr(connect)
 }
 
-/// One request/response exchange with a daemon.
-fn client_request(stream: &mut TcpStream, request: &Message) -> Result<Message, EngineError> {
-    protocol::send(stream, request).map_err(|e| EngineError::Analysis(e.to_string()))?;
-    protocol::receive(stream)
-        .map_err(|e| EngineError::Analysis(e.to_string()))?
-        .ok_or_else(|| EngineError::Analysis("service closed the connection".to_string()))
+fn gateway_addr(connect: &str) -> Result<String, EngineError> {
+    let url = if connect.starts_with("http://") {
+        connect.to_string()
+    } else {
+        format!("http://{connect}")
+    };
+    mbcr_gateway::parse_url(&url)
+        .map(|(addr, _)| addr)
+        .ok_or_else(|| {
+            EngineError::Spec(format!(
+                "--connect: '{connect}' is not http://host:port or host:port"
+            ))
+        })
+}
+
+/// Runs one client exchange with a daemon. A failure — unreachable
+/// daemon, refused request, malformed answer — prints its reason and
+/// exits 1.
+fn client(exchange: impl FnOnce() -> Result<ExitCode, String>) -> ExitCode {
+    exchange().unwrap_or_else(|reason| {
+        eprintln!("mbcr: {reason}");
+        ExitCode::from(1)
+    })
+}
+
+/// One gateway request; a non-2xx answer is an error carrying the
+/// server's reason.
+fn call(addr: &str, method: &str, path: &str, body: Option<&Json>) -> Result<Json, String> {
+    let response = mbcr_gateway::request(addr, method, path, body)
+        .map_err(|e| format!("{method} http://{addr}{path}: {e}"))?;
+    if !(200..300).contains(&response.status) {
+        let refused = mbcr_gateway::StatusError {
+            status: response.status,
+            reason: response.error_text(),
+        };
+        return Err(refused.to_string());
+    }
+    response
+        .json()
+        .ok_or_else(|| format!("{method} {path}: the answer is not JSON"))
 }
 
 /// `mbcr submit`: queue a sweep on a running daemon. The sweep id printed
@@ -1237,22 +1184,19 @@ fn client_request(stream: &mut TcpStream, request: &Message) -> Result<Message, 
 /// `report --follow`, `status` and `cancel`.
 fn submit(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
-    let connect = flags
-        .value("--connect")?
-        .ok_or_else(|| EngineError::Spec("submit needs --connect ADDR".into()))?
-        .to_string();
+    let addr = gateway_flag(&mut flags, "submit")?;
     let spec = spec_from_flags(&mut flags)?;
     let checkpoint_interval = match flags.value("--checkpoint-interval")? {
-        Some(text) => Some(parse_u64("--checkpoint-interval", text)? as usize),
-        None => None,
+        Some(text) => Json::UInt(parse_u64("--checkpoint-interval", text)?),
+        None => Json::Null,
     };
     let priority = match flags.value("--priority")? {
-        Some(text) => u32::try_from(parse_u64("--priority", text)?).unwrap_or(u32::MAX),
+        Some(text) => parse_u64("--priority", text)?,
         None => 1,
     };
     let max_concurrent = match flags.value("--max-concurrent")? {
-        Some(text) => Some(parse_u64("--max-concurrent", text)? as usize),
-        None => None,
+        Some(text) => Json::UInt(parse_u64("--max-concurrent", text)?),
+        None => Json::Null,
     };
     let force = flags.switch("--force");
     flags.reject_unknown()?;
@@ -1260,112 +1204,117 @@ fn submit(args: &[String]) -> Result<ExitCode, EngineError> {
         return Err(EngineError::Spec(format!("unexpected argument '{extra}'")));
     }
 
-    let mut stream = client_connect(&connect)?;
-    let request = Message::Submit {
-        spec: spec.to_json(),
-        force,
-        checkpoint_interval,
-        priority,
-        max_concurrent,
-    };
-    match client_request(&mut stream, &request)? {
-        Message::Submitted { sweep } => {
-            println!("submitted {sweep}");
-            Ok(ExitCode::SUCCESS)
+    let body = Json::Obj(vec![
+        ("spec".to_string(), spec.to_json()),
+        ("force".to_string(), Json::Bool(force)),
+        ("checkpoint_interval".to_string(), checkpoint_interval),
+        ("priority".to_string(), Json::UInt(priority)),
+        ("max_concurrent".to_string(), max_concurrent),
+    ]);
+    Ok(client(|| {
+        let answer = call(&addr, "POST", "/v1/sweeps", Some(&body))?;
+        let sweep = answer
+            .get("sweep")
+            .and_then(Json::as_str)
+            .ok_or("the submit answer carries no sweep id")?;
+        println!("submitted {sweep}");
+        Ok(ExitCode::SUCCESS)
+    }))
+}
+
+/// `GET /v1/sweeps`, narrowed to one sweep when `sweep` names one (an
+/// unknown id is an error). Shared by `status` and one-shot `report`.
+fn fetch_statuses(addr: &str, sweep: Option<&str>) -> Result<Vec<SweepStatus>, String> {
+    let doc = call(addr, "GET", "/v1/sweeps", None)?;
+    let mut rows = doc
+        .get("sweeps")
+        .and_then(Json::as_array)
+        .and_then(|rows| {
+            rows.iter()
+                .map(protocol::status_from_json)
+                .collect::<Option<Vec<_>>>()
+        })
+        .ok_or("malformed /v1/sweeps answer")?;
+    if let Some(id) = sweep {
+        rows.retain(|s| s.id == id);
+        if rows.is_empty() {
+            return Err(format!("unknown sweep '{id}'"));
         }
-        Message::Reject { reason } => {
-            eprintln!("mbcr: submission rejected: {reason}");
-            Ok(ExitCode::from(1))
-        }
-        other => Err(EngineError::Analysis(format!(
-            "unexpected reply: {}",
-            other.to_json().to_compact()
-        ))),
     }
+    Ok(rows)
+}
+
+/// The exit rule of `status`, `report` and `report --follow`: nonzero
+/// when a reported sweep was canceled or has failed jobs, so they double
+/// as health probes (and wait-for-success) in scripts and CI.
+fn health_exit(outcomes: impl IntoIterator<Item = (SweepState, usize)>) -> ExitCode {
+    let bad = outcomes
+        .into_iter()
+        .any(|(state, failed)| state == SweepState::Canceled || failed > 0);
+    if bad {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// `status` and one-shot `report --connect`: fetch the queue, render it,
+/// and apply [`health_exit`] when one sweep was targeted (an untargeted
+/// listing exits 0: the queue as a whole is fine).
+fn queue_report(addr: &str, sweep: Option<&str>, render: fn(&[SweepStatus])) -> ExitCode {
+    client(|| {
+        let rows = fetch_statuses(addr, sweep)?;
+        render(&rows);
+        Ok(if sweep.is_some() {
+            health_exit(rows.iter().map(|s| (s.state, s.failed)))
+        } else {
+            ExitCode::SUCCESS
+        })
+    })
 }
 
 /// `mbcr status`: one row per sweep in the daemon's queue.
 fn status(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
-    let connect = flags
-        .value("--connect")?
-        .ok_or_else(|| EngineError::Spec("status needs --connect ADDR".into()))?
-        .to_string();
-    let sweep = flags.value("--sweep")?.map(str::to_string);
+    let addr = gateway_flag(&mut flags, "status")?;
+    let sweep = flags.value("--sweep")?;
     flags.reject_unknown()?;
-
-    let targeted = sweep.is_some();
-    let mut stream = client_connect(&connect)?;
-    match client_request(&mut stream, &Message::Status { sweep })? {
-        Message::StatusReport { sweeps } => {
+    Ok(queue_report(&addr, sweep, |sweeps| {
+        println!(
+            "{:<24} {:<20} {:<9} {:>9} {:>9} {:>8} {:>7}",
+            "sweep", "name", "state", "done", "executed", "cached", "failed"
+        );
+        println!("{}", "-".repeat(92));
+        for s in sweeps {
             println!(
-                "{:<24} {:<20} {:<9} {:>9} {:>9} {:>8} {:>7}",
-                "sweep", "name", "state", "done", "executed", "cached", "failed"
+                "{:<24} {:<20} {:<9} {:>5}/{:<3} {:>9} {:>8} {:>7}",
+                s.id,
+                s.name,
+                s.state.name(),
+                s.done,
+                s.total,
+                s.executed,
+                s.skipped,
+                s.failed
             );
-            println!("{}", "-".repeat(92));
-            for s in &sweeps {
-                println!(
-                    "{:<24} {:<20} {:<9} {:>5}/{:<3} {:>9} {:>8} {:>7}",
-                    s.id,
-                    s.name,
-                    s.state.name(),
-                    s.done,
-                    s.total,
-                    s.executed,
-                    s.skipped,
-                    s.failed
-                );
-            }
-            // Scriptable: `mbcr status --sweep ID` doubles as a health
-            // probe for that sweep.
-            if targeted
-                && sweeps
-                    .iter()
-                    .any(|s| s.state == SweepState::Canceled || s.failed > 0)
-            {
-                return Ok(ExitCode::from(1));
-            }
-            Ok(ExitCode::SUCCESS)
         }
-        Message::Reject { reason } => {
-            eprintln!("mbcr: {reason}");
-            Ok(ExitCode::from(1))
-        }
-        other => Err(EngineError::Analysis(format!(
-            "unexpected reply: {}",
-            other.to_json().to_compact()
-        ))),
-    }
+    }))
 }
 
 /// `mbcr cancel`: cancel one sweep on a daemon.
 fn cancel(args: &[String]) -> Result<ExitCode, EngineError> {
     let mut flags = Flags::new(args);
-    let connect = flags
-        .value("--connect")?
-        .ok_or_else(|| EngineError::Spec("cancel needs --connect ADDR".into()))?
-        .to_string();
+    let addr = gateway_flag(&mut flags, "cancel")?;
     let sweep = flags
         .value("--sweep")?
-        .ok_or_else(|| EngineError::Spec("cancel needs --sweep ID".into()))?
-        .to_string();
+        .ok_or_else(|| EngineError::Spec("cancel needs --sweep ID".into()))?;
     flags.reject_unknown()?;
-
-    let mut stream = client_connect(&connect)?;
-    match client_request(&mut stream, &Message::Cancel { sweep })? {
-        Message::Cancelled { sweep, state } => {
-            println!("{sweep}: {state}");
-            Ok(ExitCode::SUCCESS)
-        }
-        Message::Reject { reason } => {
-            eprintln!("mbcr: {reason}");
-            Ok(ExitCode::from(1))
-        }
-        other => Err(EngineError::Analysis(format!(
-            "unexpected reply: {}",
-            other.to_json().to_compact()
-        ))),
-    }
+    Ok(client(|| {
+        let answer = call(&addr, "DELETE", &format!("/v1/sweeps/{sweep}"), None)?;
+        let state = answer.get("state").and_then(Json::as_str).unwrap_or("?");
+        println!("{sweep}: {state}");
+        Ok(ExitCode::SUCCESS)
+    }))
 }
 
 /// Renders one live progress snapshot (`report --follow`).
@@ -1398,131 +1347,65 @@ fn render_snapshot(snapshot: &SweepSnapshot) {
 
 /// Reconnect pacing for `report --follow`: a lost stream retries with
 /// doubling backoff from 250 ms, capped at 5 s; this many *consecutive*
-/// failures (any received frame resets the count) give up.
+/// failures (any received event resets the count) give up.
 const FOLLOW_RETRY_START: Duration = Duration::from_millis(250);
 const FOLLOW_RETRY_CAP: Duration = Duration::from_secs(5);
 const FOLLOW_RETRY_LIMIT: u32 = 8;
 
-/// The exit code the follow modes end with: nonzero when any followed
-/// sweep was canceled or finished with failed jobs, so `report --follow`
-/// doubles as a wait-for-success in scripts and CI.
-fn follow_exit(outcomes: &std::collections::HashMap<String, (SweepState, usize)>) -> ExitCode {
-    let bad = outcomes
-        .values()
-        .any(|&(state, failed)| state == SweepState::Canceled || failed > 0);
-    if bad {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+/// `mbcr report --connect --follow`: follow `sweep`, or else each sweep
+/// `GET /v1/sweeps` lists, until it ends; exit per [`health_exit`].
+fn follow_sweeps(addr: &str, sweep: Option<String>) -> Result<ExitCode, String> {
+    let ids = match sweep {
+        Some(id) => vec![id],
+        None => fetch_statuses(addr, None)?
+            .into_iter()
+            .map(|s| s.id)
+            .collect(),
+    };
+    let mut outcomes = Vec::new();
+    for id in &ids {
+        outcomes.extend(follow_sse(addr, id)?);
     }
+    Ok(health_exit(outcomes))
 }
 
-/// `mbcr report --connect --follow`: stream a daemon's progress until the
-/// chosen sweep(s) complete, reconnecting with capped backoff when the
-/// stream dies mid-sweep (daemon restart, transient network) — the
-/// registry is durable, so a reconnect resumes exactly where the queue
-/// stands.
-fn follow_daemon(connect: &str, sweep: Option<String>) -> Result<ExitCode, EngineError> {
-    let mut outcomes = std::collections::HashMap::new();
+/// Follows one sweep's SSE stream to its `end` event and returns the
+/// last snapshot's (state, failed jobs). Connect failures and a stream
+/// lost mid-sweep (daemon restart, transient network) reconnect with
+/// capped backoff — the registry is durable, so a reconnect resumes
+/// exactly where the queue stands. A refused request (an HTTP error
+/// status, e.g. an unknown sweep) or a malformed event is final.
+fn follow_sse(addr: &str, id: &str) -> Result<Option<(SweepState, usize)>, String> {
     let mut backoff = FOLLOW_RETRY_START;
     let mut failures = 0u32;
     loop {
-        match follow_daemon_once(connect, sweep.clone(), &mut outcomes, &mut failures) {
-            Ok(code) => return Ok(code),
-            Err(e) => {
-                failures += 1;
-                if failures > FOLLOW_RETRY_LIMIT {
-                    return Err(e);
-                }
-                eprintln!("mbcr: follow stream lost ({e}); reconnecting in {backoff:?}");
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(FOLLOW_RETRY_CAP);
-            }
+        let e = match follow_sse_once(addr, id, &mut failures) {
+            Ok(last) => return Ok(last),
+            Err(e) => e,
+        };
+        let refused = e.kind() == io::ErrorKind::InvalidData
+            || e.get_ref()
+                .is_some_and(|inner| inner.is::<mbcr_gateway::StatusError>());
+        failures += 1;
+        if refused || failures > FOLLOW_RETRY_LIMIT {
+            return Err(e.to_string());
         }
+        eprintln!("mbcr: follow stream lost ({e}); reconnecting in {backoff:?}");
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(FOLLOW_RETRY_CAP);
     }
 }
 
-/// One binary-protocol follow attempt. Frames reaching the snapshot
-/// handler reset the caller's consecutive-failure counter; an EOF before
-/// `FollowEnd` is the transient-loss signal the caller retries on.
-fn follow_daemon_once(
-    connect: &str,
-    sweep: Option<String>,
-    outcomes: &mut std::collections::HashMap<String, (SweepState, usize)>,
-    failures: &mut u32,
-) -> Result<ExitCode, EngineError> {
-    let mut stream = client_connect(connect)?;
-    protocol::send(&mut stream, &Message::Follow { sweep })
-        .map_err(|e| EngineError::Analysis(e.to_string()))?;
-    loop {
-        match protocol::receive(&mut stream).map_err(|e| EngineError::Analysis(e.to_string()))? {
-            Some(Message::Progress(snapshot)) => {
-                *failures = 0;
-                outcomes.insert(
-                    snapshot.id.clone(),
-                    (
-                        snapshot.state,
-                        snapshot
-                            .jobs
-                            .iter()
-                            .filter(|(_, s, _)| s == "failed")
-                            .count(),
-                    ),
-                );
-                render_snapshot(&snapshot);
-            }
-            Some(Message::FollowEnd) => return Ok(follow_exit(outcomes)),
-            None => {
-                return Err(EngineError::Analysis(
-                    "follow stream closed before the sweep finished".to_string(),
-                ))
-            }
-            Some(Message::Reject { reason }) => {
-                eprintln!("mbcr: {reason}");
-                return Ok(ExitCode::from(1));
-            }
-            Some(other) => {
-                return Err(EngineError::Analysis(format!(
-                    "unexpected frame: {}",
-                    other.to_json().to_compact()
-                )))
-            }
-        }
-    }
-}
-
-/// `mbcr report --connect http://… --follow`: the same follow loop over
-/// the gateway's SSE stream, with the same capped-backoff reconnects —
-/// [`mbcr_gateway::SseReader`] surfaces a mid-event EOF as
-/// `UnexpectedEof`, which lands in the retry path instead of trusting a
-/// half-delivered frame.
-fn follow_sse(addr: &str, id: &str) -> Result<ExitCode, EngineError> {
-    let mut outcomes = std::collections::HashMap::new();
-    let mut backoff = FOLLOW_RETRY_START;
-    let mut failures = 0u32;
-    loop {
-        match follow_sse_once(addr, id, &mut outcomes, &mut failures) {
-            Ok(code) => return Ok(code),
-            Err(e) => {
-                failures += 1;
-                if failures > FOLLOW_RETRY_LIMIT {
-                    return Err(EngineError::Analysis(e.to_string()));
-                }
-                eprintln!("mbcr: follow stream lost ({e}); reconnecting in {backoff:?}");
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(FOLLOW_RETRY_CAP);
-            }
-        }
-    }
-}
-
+/// One SSE follow attempt. [`mbcr_gateway::SseReader`] surfaces a
+/// mid-event EOF as `UnexpectedEof`, which lands in the retry path
+/// instead of trusting a half-delivered event.
 fn follow_sse_once(
     addr: &str,
     id: &str,
-    outcomes: &mut std::collections::HashMap<String, (SweepState, usize)>,
     failures: &mut u32,
-) -> io::Result<ExitCode> {
+) -> io::Result<Option<(SweepState, usize)>> {
     let mut events = mbcr_gateway::open_sse(addr, &format!("/v1/sweeps/{id}/events"))?;
+    let mut last = None;
     while let Some(event) = events.next_event()? {
         match event.event.as_str() {
             "progress" => {
@@ -1537,20 +1420,15 @@ fn follow_sse_once(
                     ));
                 };
                 *failures = 0;
-                outcomes.insert(
-                    snapshot.id.clone(),
-                    (
-                        snapshot.state,
-                        snapshot
-                            .jobs
-                            .iter()
-                            .filter(|(_, s, _)| s == "failed")
-                            .count(),
-                    ),
-                );
+                let failed = snapshot
+                    .jobs
+                    .iter()
+                    .filter(|(_, s, _)| s == "failed")
+                    .count();
+                last = Some((snapshot.state, failed));
                 render_snapshot(&snapshot);
             }
-            "end" => return Ok(follow_exit(outcomes)),
+            "end" => return Ok(last),
             _ => {}
         }
     }
@@ -1558,66 +1436,6 @@ fn follow_sse_once(
         io::ErrorKind::UnexpectedEof,
         "follow stream closed before the end event",
     ))
-}
-
-/// `mbcr report --connect http://…`: the gateway-backed report path.
-/// One-shot mode lists `GET /v1/sweeps`; `--follow` streams
-/// `GET /v1/sweeps/{id}/events`. Output and exit codes match the binary
-/// protocol path row for row.
-fn report_http(url: &str, sweep: Option<String>, follow: bool) -> Result<ExitCode, EngineError> {
-    let (addr, _) = mbcr_gateway::parse_url(url).ok_or_else(|| {
-        EngineError::Spec(format!("'{url}' is not an http://host:port[/path] URL"))
-    })?;
-    if follow {
-        let id = sweep.ok_or_else(|| {
-            EngineError::Spec(
-                "--follow over http needs --sweep ID (one SSE stream per sweep)".into(),
-            )
-        })?;
-        return follow_sse(&addr, &id);
-    }
-    let response = mbcr_gateway::request(&addr, "GET", "/v1/sweeps", None)
-        .map_err(|e| EngineError::Analysis(format!("GET {url}/v1/sweeps: {e}")))?;
-    if response.status != 200 {
-        eprintln!("mbcr: HTTP {}: {}", response.status, response.error_text());
-        return Ok(ExitCode::from(1));
-    }
-    let doc = response
-        .json()
-        .ok_or_else(|| EngineError::Analysis("non-JSON body from /v1/sweeps".to_string()))?;
-    let rows = doc
-        .get("sweeps")
-        .and_then(Json::as_array)
-        .ok_or_else(|| EngineError::Analysis("missing 'sweeps' in /v1/sweeps body".to_string()))?;
-    let mut sweeps: Vec<_> = rows.iter().filter_map(protocol::status_from_json).collect();
-    if let Some(id) = &sweep {
-        sweeps.retain(|s| &s.id == id);
-        if sweeps.is_empty() {
-            eprintln!("mbcr: unknown sweep '{id}'");
-            return Ok(ExitCode::from(1));
-        }
-    }
-    for s in &sweeps {
-        println!(
-            "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
-            s.id,
-            s.name,
-            s.state.name(),
-            s.done,
-            s.total,
-            s.executed,
-            s.skipped,
-            s.failed
-        );
-    }
-    if sweep.is_some()
-        && sweeps
-            .iter()
-            .any(|s| s.state == SweepState::Canceled || s.failed > 0)
-    {
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn worker(args: &[String]) -> Result<ExitCode, EngineError> {
@@ -1711,51 +1529,25 @@ fn report(args: &[String]) -> Result<ExitCode, EngineError> {
                 "report takes --out or --connect, not both".into(),
             ));
         }
-        // `--connect http://…` goes through the gateway; a bare
-        // `host:port` speaks the binary protocol. Same output, same
-        // exit codes.
-        if connect.starts_with("http://") {
-            return report_http(&connect, sweep, follow);
-        }
+        let addr = gateway_addr(&connect)?;
         if follow {
-            return follow_daemon(&connect, sweep);
+            return Ok(client(|| follow_sweeps(&addr, sweep)));
         }
-        // A one-shot snapshot of the daemon's queue.
-        let targeted = sweep.is_some();
-        let mut stream = client_connect(&connect)?;
-        return match client_request(&mut stream, &Message::Status { sweep })? {
-            Message::StatusReport { sweeps } => {
-                for s in &sweeps {
-                    println!(
-                        "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
-                        s.id,
-                        s.name,
-                        s.state.name(),
-                        s.done,
-                        s.total,
-                        s.executed,
-                        s.skipped,
-                        s.failed
-                    );
-                }
-                if targeted
-                    && sweeps
-                        .iter()
-                        .any(|s| s.state == SweepState::Canceled || s.failed > 0)
-                {
-                    return Ok(ExitCode::from(1));
-                }
-                Ok(ExitCode::SUCCESS)
+        return Ok(queue_report(&addr, sweep.as_deref(), |sweeps| {
+            for s in sweeps {
+                println!(
+                    "{} ({}) [{}]: {}/{} done — {} executed, {} cached, {} failed",
+                    s.id,
+                    s.name,
+                    s.state.name(),
+                    s.done,
+                    s.total,
+                    s.executed,
+                    s.skipped,
+                    s.failed
+                );
             }
-            Message::Reject { reason } => {
-                eprintln!("mbcr: {reason}");
-                Ok(ExitCode::from(1))
-            }
-            other => Err(EngineError::Analysis(format!(
-                "unexpected reply: {}",
-                other.to_json().to_compact()
-            ))),
-        };
+        }));
     }
     if follow {
         return Err(EngineError::Spec("--follow needs --connect ADDR".into()));

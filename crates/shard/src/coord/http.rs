@@ -1,12 +1,11 @@
-//! The HTTP/JSON + SSE face of the service daemon (`mbcr serve --http`).
+//! The HTTP/JSON + SSE client plane of the service daemon
+//! (`mbcr serve --http`); the binary protocol serves workers only.
 //!
-//! Every route is a thin adapter over the same [`Service`] methods the
-//! binary protocol uses — one registry, one durability contract, two
-//! wire formats. Handlers run in the accept loop's thread scope, one
-//! request per connection (mirroring the daemon's one-handshake binary
-//! peers); a slow or hostile peer can stall only its own handler
-//! thread, never the claim loop, because every route takes the state
-//! lock just long enough for an in-memory read.
+//! Every route is a thin adapter over the [`Service`] registry. Handlers
+//! run in the accept loop's thread scope, one request per connection; a
+//! slow or hostile peer can stall only its own handler thread, never the
+//! claim loop, because every route takes the state lock just long enough
+//! for an in-memory read.
 //!
 //! Routes:
 //!
@@ -217,9 +216,8 @@ fn prometheus_page(service: &Service<'_>) -> String {
 }
 
 /// `POST /v1/sweeps`: body `{"spec": …, "force"?, "checkpoint_interval"?,
-/// "priority"?, "max_concurrent"?}` — the exact knobs of the binary
-/// `Submit` frame. Durable before the `201` is written, like every
-/// other submission path.
+/// "batch_width"?, "priority"?, "max_concurrent"?}`. Durable before the
+/// `201` is written.
 fn submit(service: &Service<'_>, stream: &mut TcpStream, request: &Request) -> io::Result<()> {
     let body = match request.json() {
         Ok(body) => body,
@@ -249,8 +247,8 @@ fn submit(service: &Service<'_>, stream: &mut TcpStream, request: &Request) -> i
     }
 }
 
-/// `GET /v1/sweeps/{id}`: the same snapshot a binary `Follow` frame
-/// carries, campaigns filled in outside the state lock.
+/// `GET /v1/sweeps/{id}`: the sweep's snapshot — the payload of one SSE
+/// `progress` event — with campaigns filled in outside the state lock.
 fn snapshot(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result<()> {
     let shell = {
         let state = service.lock();
@@ -288,17 +286,16 @@ fn cancel(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result
 }
 
 /// `GET /v1/sweeps/{id}/events`: an SSE stream of `progress` events
-/// (each one compact-JSON snapshot, byte-equal to the binary follow
-/// payload) until the sweep is terminal, then one `end` event. Shares
-/// [`Service::follow_stream`] with binary followers, so the no-lock-
-/// around-I/O discipline holds here too.
+/// (each one compact-JSON snapshot, byte-equal to `GET /v1/sweeps/{id}`)
+/// until the sweep is terminal, then one `end` event. Unknown ids are
+/// `404` before any event. [`Service::follow_stream`] keeps store I/O
+/// outside the state lock.
 fn follow_sse(service: &Service<'_>, stream: &mut TcpStream, id: &str) -> io::Result<()> {
-    let targets = match service.follow_targets(Some(id.to_string())) {
-        Ok(targets) => targets,
-        Err(reason) => return respond_error(stream, 404, &reason),
-    };
+    if !service.lock().sweeps.contains(id) {
+        return respond_error(stream, 404, &format!("unknown sweep '{id}'"));
+    }
     sse_headers(stream)?;
-    let streamed = service.follow_stream(&targets, &mut |snapshot| {
+    let streamed = service.follow_stream(id, &mut |snapshot| {
         // The span measures render + write — i.e. how far this follower
         // lags behind the sweep's progress feed.
         let _span = mbcr_obs::span(mbcr_obs::SpanKind::SseEmit, "progress");
@@ -363,19 +360,24 @@ fn metrics_doc(service: &Service<'_>) -> Json {
 /// The static-path-coverage section of `/v1/metrics`: one row per
 /// registered benchmark relating its Ball–Larus static path count to the
 /// paths its shipped input vectors exercise. Computed outside the state
-/// lock; the digest-keyed stage artifacts make repeat scrapes a store
-/// load, not a re-analysis.
+/// lock; the digest-keyed stage artifacts land in the service's scrape
+/// cache, never in the shared store — a read must leave `stages/`
+/// byte-identical to sequential sweeps — and make repeat scrapes a
+/// memory load, not a re-analysis.
 fn coverage_section(service: &Service<'_>) -> Json {
     let rows = service
         .registry
         .iter()
         .map(|b| {
             let inputs: Vec<Inputs> = b.input_vectors.iter().map(|v| v.inputs.clone()).collect();
-            let value =
-                match path_coverage(&b.program, &inputs, Some(service.store as &dyn StageStore)) {
-                    Ok(coverage) => coverage.to_json(),
-                    Err(e) => Json::Obj(vec![("error".to_string(), e.to_string().into())]),
-                };
+            let value = match path_coverage(
+                &b.program,
+                &inputs,
+                Some(&service.scrape_cache as &dyn StageStore),
+            ) {
+                Ok(coverage) => coverage.to_json(),
+                Err(e) => Json::Obj(vec![("error".to_string(), e.to_string().into())]),
+            };
             (b.name.to_string(), value)
         })
         .collect();
@@ -384,17 +386,20 @@ fn coverage_section(service: &Service<'_>) -> Json {
 
 /// The static cache-classification section of `/v1/metrics`: one row per
 /// registered benchmark with the abstract-interpretation hit/miss rollup
-/// against the paper's L1 geometry (both caches). Like the coverage
-/// section, digest-keyed stage artifacts make repeat scrapes a store
-/// load.
+/// against the paper's L1 geometry (both caches). Cached like the
+/// coverage section.
 fn cache_class_section(service: &Service<'_>) -> Json {
     let g = CacheGeometry::paper_l1();
     let rows = service
         .registry
         .iter()
         .map(|b| {
-            let value = match cache_class(&b.program, g, g, Some(service.store as &dyn StageStore))
-            {
+            let value = match cache_class(
+                &b.program,
+                g,
+                g,
+                Some(&service.scrape_cache as &dyn StageStore),
+            ) {
                 Ok(rollup) => rollup_to_json(&rollup),
                 Err(e) => Json::Obj(vec![("error".to_string(), e.to_string().into())]),
             };

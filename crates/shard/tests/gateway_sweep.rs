@@ -1,159 +1,38 @@
 //! End-to-end guarantees of the HTTP/JSON + SSE gateway (`mbcr serve
-//! --http`), driven through the real `mbcr` binary and raw sockets:
+//! --http`), the daemon's only client plane, driven through the real
+//! `mbcr` binary and raw sockets:
 //!
 //! * sweeps submitted over `POST /v1/sweeps` produce artifacts
 //!   byte-identical to sequential single-process runs of the same specs
 //!   — including across a SIGKILL of the daemon mid-campaign and a
 //!   restart, with the queue resumed and progress streamed to
 //!   completion over the gateway's SSE endpoint;
-//! * adversarial HTTP traffic — torn requests, header floods, oversized
-//!   bodies, malformed JSON, unknown routes — gets a 4xx (or a dropped
+//! * adversarial traffic — torn requests, header floods, oversized
+//!   bodies, malformed JSON, unknown routes, and a worker-protocol peer
+//!   speaking a retired client frame — gets a 4xx (or a dropped
 //!   connection) and never disturbs the daemon;
 //! * SSE followers that disconnect mid-stream or never read at all
 //!   stall only their own handler, never the claim loop: the storm
 //!   completes regardless;
-//! * `status`/`report` exit nonzero when the targeted sweep was
+//! * `report --follow` on an unknown sweep exits 1 at once;
+//!   `status`/`report` exit nonzero when the targeted sweep was
 //!   canceled, and `submit --spec -` reads the spec from stdin.
 
+mod common;
+
 use std::fs;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{
+    assert_matches_reference, reap, run_ok, sequential_reference, spawn_worker, tmp_dir,
+    wait_for_slog, Daemon, MBCR,
+};
 use mbcr_engine::{AnalysisKind, SweepSpec};
 use mbcr_json::Json;
-
-const MBCR: &str = env!("CARGO_BIN_EXE_mbcr");
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbcr-gateway-e2e-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-fn run_ok(args: &[&str]) -> String {
-    let output = Command::new(MBCR).args(args).output().expect("spawn mbcr");
-    assert!(
-        output.status.success(),
-        "mbcr {args:?} failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-/// Every file under a directory, relative path → bytes, sorted. `*.tmpN`
-/// strays a `kill -9`'d writer left mid-`write_atomic` are skipped — the
-/// store contract says scans ignore them; they are not artifacts.
-fn snapshot(root: &Path) -> Vec<(String, Vec<u8>)> {
-    fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, Vec<u8>)>) {
-        for entry in fs::read_dir(dir).expect("read_dir").flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, root, out);
-            } else if path
-                .extension()
-                .is_some_and(|e| e.to_string_lossy().starts_with("tmp"))
-            {
-                continue;
-            } else {
-                let rel = path
-                    .strip_prefix(root)
-                    .expect("under root")
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel, fs::read(&path).expect("read file")));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, root, &mut out);
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-fn assert_dirs_identical(a: &Path, b: &Path, what: &str) {
-    let snap_a = snapshot(a);
-    let snap_b = snapshot(b);
-    let names = |snap: &[(String, Vec<u8>)]| -> Vec<String> {
-        snap.iter().map(|(n, _)| n.clone()).collect()
-    };
-    assert_eq!(names(&snap_a), names(&snap_b), "{what}: file sets differ");
-    for ((name_a, bytes_a), (_, bytes_b)) in snap_a.iter().zip(&snap_b) {
-        assert_eq!(
-            bytes_a,
-            bytes_b,
-            "{what}: {name_a} differs between {} and {}",
-            a.display(),
-            b.display()
-        );
-    }
-}
-
-/// Strips the `campaign_resumed` lines a resumed/adopted campaign is
-/// allowed (and required) to differ in.
-fn normalize_manifest(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.contains("\"campaign_resumed\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// A daemon with both planes up: `addr` speaks the binary protocol,
-/// `http` the gateway.
-struct Daemon {
-    child: Child,
-    addr: String,
-    http: String,
-}
-
-impl Daemon {
-    fn spawn(out: &Path) -> Self {
-        let mut child = Command::new(MBCR)
-            .args(["serve", "--listen", "127.0.0.1:0", "--http", "127.0.0.1:0"])
-            .args(["--out", &out.display().to_string()])
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn daemon");
-        let stdout = child.stdout.take().expect("daemon stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let (mut addr, mut http) = (None, None);
-        while addr.is_none() || http.is_none() {
-            let line = lines
-                .next()
-                .expect("daemon exited before announcing its addresses")
-                .expect("read daemon stdout");
-            if let Some(a) = line.strip_prefix("service listening on ") {
-                addr = Some(a.to_string());
-            } else if let Some(h) = line.strip_prefix("http listening on ") {
-                http = Some(h.to_string());
-            }
-        }
-        std::thread::spawn(move || for _ in lines {});
-        Self {
-            child,
-            addr: addr.expect("service address"),
-            http: http.expect("http address"),
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_worker(addr: &str) -> Child {
-    Command::new(MBCR)
-        .args(["worker", "--connect", addr])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn worker")
-}
+use mbcr_shard::protocol::{self, Message};
 
 /// The overlapping storm specs, as a [`SweepSpec`] (for HTTP submission)
 /// — field for field what the CLI reference args below produce.
@@ -188,8 +67,8 @@ fn storm_args(name: &str, seeds: &str) -> Vec<String> {
     .collect()
 }
 
-/// Submits a spec over `POST /v1/sweeps`, returning the sweep id.
-fn http_submit(http: &str, spec: &SweepSpec) -> String {
+/// Submits a spec with a raw `POST /v1/sweeps`, returning the sweep id.
+pub fn http_submit(http: &str, spec: &SweepSpec) -> String {
     let body = Json::Obj(vec![
         ("spec".to_string(), spec.to_json()),
         ("checkpoint_interval".to_string(), Json::UInt(200)),
@@ -209,19 +88,6 @@ fn http_submit(http: &str, spec: &SweepSpec) -> String {
         .and_then(Json::as_str)
         .expect("submit response carries the sweep id")
         .to_string()
-}
-
-/// Total bytes of campaign chunk logs currently in a store.
-fn slog_bytes(out: &Path) -> u64 {
-    let Ok(entries) = fs::read_dir(out.join("stages")) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".samples.slog"))
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
 }
 
 /// Polls `GET /v1/sweeps` until every id is terminal (panics after the
@@ -261,75 +127,48 @@ fn poll_until_terminal(http: &str, ids: &[String], deadline: Duration) {
 fn http_submitted_sweeps_survive_sigkill_and_match_sequential_runs_byte_for_byte() {
     // Sequential single-process reference of the same two specs.
     let reference = tmp_dir("http-kill-ref");
-    let mut captured = Vec::new();
-    for (name, seeds) in [("alpha", "11"), ("beta", "11,12")] {
-        let args = storm_args(name, seeds);
-        let mut argv: Vec<&str> = vec!["sweep", "--out"];
-        let out = reference.display().to_string();
-        argv.push(&out);
-        argv.extend(args.iter().map(String::as_str));
-        run_ok(&argv);
-        captured.push((
-            fs::read_to_string(reference.join("manifest.json")).expect("manifest"),
-            fs::read_to_string(reference.join("table2.csv")).expect("table2"),
-        ));
-    }
+    let captured = sequential_reference(
+        &reference,
+        &[storm_args("alpha", "11"), storm_args("beta", "11,12")],
+    );
 
     let out = tmp_dir("http-kill-daemon");
     let ids: Vec<String>;
     {
-        let daemon = Daemon::spawn(&out);
+        let mut daemon = Daemon::spawn(&out);
         ids = vec![
             http_submit(&daemon.http, &storm_spec("alpha", &[11])),
             http_submit(&daemon.http, &storm_spec("beta", &[11, 12])),
         ];
         let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
         // Let the first campaign chunks land, then SIGKILL the daemon:
-        // HTTP submissions must be exactly as durable as binary ones.
-        let deadline = Instant::now() + Duration::from_secs(300);
-        while slog_bytes(&out) == 0 {
-            assert!(Instant::now() < deadline, "campaign logs never appeared");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // submissions must be durable before they are acknowledged.
+        wait_for_slog(&out, 1, &mut daemon);
         drop(daemon); // SIGKILL (Drop uses Child::kill)
-        for w in &mut workers {
-            let _ = w.kill();
-            let _ = w.wait();
-        }
+        reap(&mut workers);
     }
 
     // Restart over the same store and stream both sweeps to completion
     // over the gateway's SSE endpoint (via the CLI's http client path).
     let daemon = Daemon::spawn(&out);
     let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&daemon.addr)).collect();
-    let url = format!("http://{}", daemon.http);
     for id in &ids {
-        run_ok(&["report", "--connect", &url, "--follow", "--sweep", id]);
+        run_ok(&[
+            "report",
+            "--connect",
+            &daemon.url(),
+            "--follow",
+            "--sweep",
+            id,
+        ]);
     }
-    for w in &mut workers {
-        let _ = w.kill();
-        let _ = w.wait();
-    }
+    reap(&mut workers);
 
     // Byte-identity: shared content exactly equals the clean sequential
     // store; per-sweep manifests/tables differ at most in resumed-run
     // counts.
-    assert_dirs_identical(&reference.join("jobs"), &out.join("jobs"), "jobs/");
-    assert_dirs_identical(&reference.join("stages"), &out.join("stages"), "stages/");
-    for (id, (ref_manifest, ref_table)) in ids.iter().zip(&captured) {
-        let scope = out.join("sweeps").join(id);
-        let manifest = fs::read_to_string(scope.join("manifest.json")).expect("manifest");
-        assert_eq!(
-            normalize_manifest(&manifest),
-            normalize_manifest(ref_manifest),
-            "{id}: manifests must agree on everything but campaign_resumed"
-        );
-        assert_eq!(
-            &fs::read_to_string(scope.join("table2.csv")).expect("table2"),
-            ref_table,
-            "{id}: table2 must match the clean reference"
-        );
-    }
+    let sweeps: Vec<_> = ids.into_iter().zip(captured).collect();
+    assert_matches_reference(&out, &reference, &sweeps, true);
     let _ = fs::remove_dir_all(&reference);
     let _ = fs::remove_dir_all(&out);
 }
@@ -355,8 +194,13 @@ fn status_line_of(response: &str) -> &str {
 
 #[test]
 fn adversarial_http_gets_4xx_and_never_disturbs_the_daemon() {
+    let reference = tmp_dir("adversarial-ref");
+    let captured = sequential_reference(&reference, &[storm_args("concurrent", "11")]);
     let out = tmp_dir("adversarial");
     let daemon = Daemon::spawn(&out);
+    // A real sweep runs through the whole barrage.
+    let id = http_submit(&daemon.http, &storm_spec("concurrent", &[11]));
+    let mut worker = spawn_worker(&daemon.addr);
 
     // Torn mid-request-line.
     let torn = raw_exchange(&daemon.http, b"POST /v1/swe");
@@ -421,23 +265,80 @@ fn adversarial_http_gets_4xx_and_never_disturbs_the_daemon() {
     );
     assert!(bad_sse.starts_with("HTTP/1.1 405"), "{bad_sse:?}");
 
-    // After the barrage: the daemon is alive and still does real work.
+    // A worker-protocol peer that completes the handshake and then sends
+    // a retired client frame: the daemon drops it without an answer, and
+    // nothing is submitted.
+    let mut peer = TcpStream::connect(&daemon.addr).expect("connect to the worker listener");
+    peer.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let hello = Message::Hello {
+        schema: protocol::wire_schema(),
+    };
+    protocol::send(&mut peer, &hello).expect("send hello");
+    let welcome = protocol::receive(&mut peer).expect("handshake answer");
+    assert!(
+        matches!(welcome, Some(Message::Welcome { .. })),
+        "{welcome:?}"
+    );
+    let submit_frame = Json::Obj(vec![
+        ("type".to_string(), "submit".into()),
+        (
+            "spec".to_string(),
+            storm_spec("wire-submit", &[11]).to_json(),
+        ),
+        ("force".to_string(), Json::Bool(false)),
+        ("priority".to_string(), Json::UInt(1)),
+    ]);
+    protocol::write_frame(&mut peer, &submit_frame).expect("send the retired frame");
+    let mut answer = Vec::new();
+    match peer.read_to_end(&mut answer) {
+        Ok(_) => assert!(answer.is_empty(), "the peer must get no answer"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+
+    // After the barrage: the daemon is alive, never queued the wire
+    // submission, and the concurrent sweep finishes byte-identical to
+    // its sequential reference.
     let health = raw_exchange(&daemon.http, b"GET /v1/healthz HTTP/1.1\r\n\r\n");
     assert_eq!(status_line_of(&health), "HTTP/1.1 200 OK", "{health:?}");
-    let mut quick = storm_spec("after-storm", &[11]);
-    quick.max_campaign_runs = Some(200);
-    let id = http_submit(&daemon.http, &quick);
-    let mut worker = spawn_worker(&daemon.addr);
+    // A metrics scrape derives coverage and classification artifacts; it
+    // must not write them into the shared store compared below.
+    let metrics = raw_exchange(&daemon.http, b"GET /v1/metrics HTTP/1.1\r\n\r\n");
+    assert_eq!(status_line_of(&metrics), "HTTP/1.1 200 OK", "{metrics:?}");
     poll_until_terminal(
         &daemon.http,
         std::slice::from_ref(&id),
         Duration::from_secs(300),
     );
-    let _ = worker.kill();
-    let _ = worker.wait();
+    let listing = raw_exchange(&daemon.http, b"GET /v1/sweeps HTTP/1.1\r\n\r\n");
+    assert!(!listing.contains("wire-submit"), "{listing}");
+    reap(std::slice::from_mut(&mut worker));
+    drop(daemon);
+    assert_matches_reference(&out, &reference, &[(id, captured[0].clone())], false);
+    let _ = fs::remove_dir_all(&reference);
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn following_an_unknown_sweep_exits_1_at_once_naming_it() {
+    let out = tmp_dir("unknown-follow");
+    let daemon = Daemon::spawn(&out);
+    let started = Instant::now();
+    let output = Command::new(MBCR)
+        .args(["report", "--connect", &daemon.url(), "--follow"])
+        .args(["--sweep", "s999-nosuch"])
+        .output()
+        .expect("spawn mbcr report");
+    let elapsed = started.elapsed();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(
-        out.join("sweeps").join(&id).join("manifest.json").exists(),
-        "the post-barrage sweep must complete normally"
+        elapsed < Duration::from_secs(5),
+        "a refused follow must not retry: took {elapsed:?}"
+    );
+    assert!(
+        stderr.contains("s999-nosuch"),
+        "stderr must name the sweep: {stderr}"
     );
     drop(daemon);
     let _ = fs::remove_dir_all(&out);
@@ -500,12 +401,13 @@ fn sse_followers_that_vanish_or_never_read_do_not_stall_the_sweeps() {
 fn stdin_specs_submit_and_canceled_sweeps_exit_nonzero_from_status_and_report() {
     let out = tmp_dir("exit-codes");
     let daemon = Daemon::spawn(&out);
+    let url = daemon.url();
 
     // `submit --spec -`: the spec arrives on stdin. No worker is
     // connected, so the sweep stays queued until we cancel it.
     let spec = storm_spec("stdin-spec", &[31]);
     let mut child = Command::new(MBCR)
-        .args(["submit", "--connect", &daemon.addr, "--spec", "-"])
+        .args(["submit", "--connect", &url, "--spec", "-"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -531,40 +433,47 @@ fn stdin_specs_submit_and_canceled_sweeps_exit_nonzero_from_status_and_report() 
         .trim()
         .to_string();
 
-    // Queued and healthy: targeted status exits 0.
-    let probe = Command::new(MBCR)
-        .args(["status", "--connect", &daemon.addr, "--sweep", &id])
-        .output()
-        .expect("spawn mbcr status");
-    assert!(
-        probe.status.success(),
-        "a queued sweep must probe healthy:\n{}",
-        String::from_utf8_lossy(&probe.stderr)
-    );
+    // Queued and healthy: targeted status exits 0 — the gateway written
+    // as a URL or as a bare host:port.
+    let probe = |connect: &str| {
+        Command::new(MBCR)
+            .args(["status", "--connect", connect, "--sweep", &id])
+            .output()
+            .expect("spawn mbcr status")
+    };
+    for connect in [url.as_str(), daemon.http.as_str()] {
+        let output = probe(connect);
+        assert!(
+            output.status.success(),
+            "a queued sweep must probe healthy:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
 
-    run_ok(&["cancel", "--connect", &daemon.addr, "--sweep", &id]);
+    run_ok(&["cancel", "--connect", &url, "--sweep", &id]);
 
-    // Canceled: both the binary-protocol probe and the gateway report
-    // exit nonzero — scripts can gate on sweep health.
-    let probe = Command::new(MBCR)
-        .args(["status", "--connect", &daemon.addr, "--sweep", &id])
-        .output()
-        .expect("spawn mbcr status");
+    // Canceled: both the status probe and the report exit nonzero —
+    // scripts can gate on sweep health.
     assert!(
-        !probe.status.success(),
+        !probe(&url).status.success(),
         "status --sweep must exit nonzero for a canceled sweep"
     );
-    let url = format!("http://{}", daemon.http);
-    let probe = Command::new(MBCR)
+    let report = Command::new(MBCR)
         .args(["report", "--connect", &url, "--sweep", &id])
         .output()
         .expect("spawn mbcr report");
     assert!(
-        !probe.status.success(),
-        "report --connect http:// --sweep must exit nonzero for a canceled sweep"
+        !report.status.success(),
+        "report --connect --sweep must exit nonzero for a canceled sweep"
     );
+    // Canceling an unknown sweep is refused.
+    let unknown = Command::new(MBCR)
+        .args(["cancel", "--connect", &url, "--sweep", "s999-nosuch"])
+        .output()
+        .expect("spawn mbcr cancel");
+    assert_eq!(unknown.status.code(), Some(1));
     // Untargeted listings still exit 0: the queue as a whole is fine.
-    run_ok(&["status", "--connect", &daemon.addr]);
+    run_ok(&["status", "--connect", &url]);
     run_ok(&["report", "--connect", &url]);
 
     drop(daemon);
